@@ -9,13 +9,19 @@
 // interval, SIGKILL it mid-search, resume, and require totals identical
 // to an uninterrupted run.
 //
-//   durable_search --scenario pyswitch-bug1 --checkpoint /tmp/ck \
+//   durable_search --scenario pyswitch-bug1 --checkpoint ck
 //                  --interval 0.01 --handle-signals --json out.json
-//   durable_search --scenario pyswitch-bug1 --checkpoint /tmp/ck --resume
+//   durable_search --scenario pyswitch-bug1 --checkpoint ck --resume
+//
+// Every numeric flag is parsed in full: a negative value, trailing
+// characters ("1e6", "4x") or --threads 0 exit with the usage code 2.
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 
 #include "apps/scenarios.h"
 #include "mc/checker.h"
@@ -25,13 +31,17 @@ using namespace nicemc;
 
 namespace {
 
+/// Upper bound for --threads, so a mistyped count cannot spawn millions
+/// of workers.
+constexpr std::uint64_t kMaxThreads = 1024;
+
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s [--scenario NAME] [--checkpoint PATH] [--interval SECS]\n"
       "          [--resume] [--handle-signals] [--memory-budget BYTES]\n"
-      "          [--threads N] [--frontier dfs|bfs|random]\n"
-      "          [--reduction none|sleep|sleep-persistent|source-dpor]\n"
+      "          [--threads 1..1024] [--frontier dfs|bfs|random]\n"
+      "          [--reduction none|sleep]\n"
       "          [--store hash|full|collapsed] [--max-transitions N]\n"
       "          [--telemetry] [--progress PATH] [--progress-interval SECS]\n"
       "          [--tty] [--trace-json PATH] [--trace-dot PATH]\n"
@@ -58,7 +68,6 @@ int usage(const char* argv0) {
       "  frontier               nodes currently queued for expansion\n"
       "  utilization            1 - idle fraction across bound workers\n"
       "  memo_*_hit_rate        footprint / discovery memo effectiveness\n"
-      "  wakeup_replays/woken   source-DPOR wakeup-tree activity\n"
       "  engine_bytes           engine-accounted resident bytes\n"
       "  peak_rss_bytes         OS-reported high-water mark\n"
       "  phase_*_ns             per-phase time (clone, apply, enabled,\n"
@@ -69,6 +78,31 @@ int usage(const char* argv0) {
       "export the first violation's counterexample trace.\n",
       argv0);
   return 2;
+}
+
+/// Parse all of `v` as a decimal integer in [lo, hi]. Rejects signs,
+/// leading or trailing characters and out-of-range values.
+bool parse_uint(const char* v, std::uint64_t lo, std::uint64_t hi,
+                std::uint64_t& out) {
+  const char* end = v + std::strlen(v);
+  std::uint64_t x = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || x < lo || x > hi) return false;
+  out = x;
+  return true;
+}
+
+/// Parse all of `v` as a finite, non-negative number of seconds.
+bool parse_seconds(const char* v, double& out) {
+  const char* end = v + std::strlen(v);
+  double x = 0;
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || !std::isfinite(x) ||
+      std::signbit(x)) {
+    return false;
+  }
+  out = x;
+  return true;
 }
 
 }  // namespace
@@ -105,8 +139,9 @@ int main(int argc, char** argv) {
       opt.checkpoint_path = v;
     } else if (arg == "--interval") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.checkpoint_interval_seconds = std::atof(v);
+      if (v == nullptr || !parse_seconds(v, opt.checkpoint_interval_seconds)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--resume") {
       opt.resume = true;
     } else if (arg == "--symmetry") {
@@ -115,16 +150,22 @@ int main(int argc, char** argv) {
       opt.handle_signals = true;
     } else if (arg == "--memory-budget") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.memory_budget_bytes = std::strtoull(v, nullptr, 10);
+      if (v == nullptr ||
+          !parse_uint(v, 0, UINT64_MAX, opt.memory_budget_bytes)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--threads") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.threads = static_cast<unsigned>(std::atoi(v));
+      std::uint64_t n = 0;
+      if (v == nullptr || !parse_uint(v, 1, kMaxThreads, n)) {
+        return usage(argv[0]);
+      }
+      opt.threads = static_cast<unsigned>(n);
     } else if (arg == "--max-transitions") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.max_transitions = std::strtoull(v, nullptr, 10);
+      if (v == nullptr || !parse_uint(v, 0, UINT64_MAX, opt.max_transitions)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--frontier") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
@@ -137,8 +178,6 @@ int main(int argc, char** argv) {
       if (v == nullptr) return usage(argv[0]);
       if (std::strcmp(v, "none") == 0) opt.reduction = mc::Reduction::kNone;
       else if (std::strcmp(v, "sleep") == 0) opt.reduction = mc::Reduction::kSleep;
-      else if (std::strcmp(v, "sleep-persistent") == 0) opt.reduction = mc::Reduction::kSleepPersistent;
-      else if (std::strcmp(v, "source-dpor") == 0) opt.reduction = mc::Reduction::kSourceDpor;
       else return usage(argv[0]);
     } else if (arg == "--json") {
       const char* v = value();
@@ -153,8 +192,9 @@ int main(int argc, char** argv) {
       opt.progress_path = v;
     } else if (arg == "--progress-interval") {
       const char* v = value();
-      if (v == nullptr) return usage(argv[0]);
-      opt.progress_interval_seconds = std::atof(v);
+      if (v == nullptr || !parse_seconds(v, opt.progress_interval_seconds)) {
+        return usage(argv[0]);
+      }
     } else if (arg == "--tty") {
       opt.telemetry = true;
       opt.progress_tty = true;
@@ -174,10 +214,12 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);
       have_fault_budget = true;
-      fault_budget = std::strcmp(v, "unbounded") == 0
-                         ? mc::kUnboundedFaults
-                         : static_cast<std::uint32_t>(
-                               std::strtoul(v, nullptr, 10));
+      std::uint64_t n = mc::kUnboundedFaults;
+      if (std::strcmp(v, "unbounded") != 0 &&
+          !parse_uint(v, 0, mc::kUnboundedFaults - 1, n)) {
+        return usage(argv[0]);
+      }
+      fault_budget = static_cast<std::uint32_t>(n);
     } else if (arg == "--store") {
       const char* v = value();
       if (v == nullptr) return usage(argv[0]);

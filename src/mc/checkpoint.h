@@ -5,7 +5,7 @@
 // as if it had never stopped: the explored-state store (util/seen_set.h),
 // the component-interning table (util/collapse.h — restored first, so the
 // id tuples stored elsewhere stay valid verbatim), the reduction layer's
-// sleep store with its wakeup trees (mc/por/sleep.h), the pending
+// sleep store (mc/por/sleep.h), the pending
 // frontier, and the run counters/violations. Shard placement in every
 // store is a pure function of the entry bytes, so a snapshot is
 // self-contained and restores correctly under any shard count.

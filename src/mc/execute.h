@@ -44,6 +44,7 @@ class Executor {
                      std::vector<Violation>& violations) const;
 
   [[nodiscard]] const SystemConfig& config() const noexcept { return cfg_; }
+  [[nodiscard]] const PropertyList& props() const noexcept { return props_; }
 
  private:
   void inject_host_packet(SystemState& state, of::HostId host,

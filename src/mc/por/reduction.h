@@ -1,97 +1,36 @@
-// The shared partial-order-reduction interface: the mode enum every
-// layer keys on (CheckerOptions::reduction), and the Reducer context the
-// Checker owns and every search driver shares.
+// The partial-order-reduction mode every layer keys on
+// (CheckerOptions::reduction).
 //
-// Three reduction families sit behind one store (por::SleepStore):
+//   * kNone  — expand every strategy-filtered enabled transition.
+//   * kSleep — sleep sets: per-node sets of sibling transitions whose
+//              exploration would only re-derive states a commuted order
+//              already produces, plus the Godefroid/Holzmann/Pirottin
+//              stateful revisit rule (re-expand exactly what every
+//              earlier arrival slept). The per-state bookkeeping lives in
+//              por::SleepStore (mc/por/sleep.h), which the Checker owns
+//              and every search driver reaches through SearchCore.
 //
-//   * kSleep            — sleep sets: per-node sets of sibling transitions
-//                         whose exploration would only re-derive states a
-//                         commuted order already produces, plus the
-//                         Godefroid/Holzmann/Pirottin stateful revisit
-//                         rule (re-expand exactly what every earlier
-//                         arrival slept).
-//   * kSleepPersistent  — sleep sets + persistent-cluster scheduling:
-//                         conflict-closure clusters of the expansion set
-//                         are committed consecutively, which maximizes
-//                         what the sleep sets can prove.
-//   * kSourceDpor       — the source-set/wakeup-tree formulation adapted
-//                         to this checker's full-state-coverage contract:
-//                         per-state wakeup trees (por/wakeup.h) record
-//                         every dispatched event with the sleep context
-//                         it ran under plus the race order of its batch,
-//                         and re-expanded children may sleep previously
-//                         dispatched independent events — an entitlement
-//                         bought lazily by replaying the event's wakeup
-//                         sequence when (and only when) the child opens
-//                         a genuinely new subtree (see search_core.cpp).
-//
-// All three visit the identical state set and report the identical
-// violation set as an unreduced search; they differ only in how many
-// redundant transitions they prune. The enforced ordering is every
-// reducing mode ≤ kNone and kSourceDpor ≤ kSleepPersistent
-// (tests/mc/test_por.cpp, the fuzz sweep in
-// tests/mc/test_fuzz_scenarios.cpp, and bench_por's runtime gate);
-// kSleep and kSleepPersistent are incomparable in general — cluster
-// scheduling usually helps, but not on every scenario.
+// kSleep visits the identical state set and reports the identical
+// violation set as kNone; it only prunes redundant transitions. The
+// enforced ordering is kSleep ≤ kNone in transitions (tests/mc/test_por.cpp,
+// the fuzz sweep in tests/mc/test_fuzz_scenarios.cpp, and bench_por's
+// runtime gate).
 #ifndef NICE_MC_POR_REDUCTION_H
 #define NICE_MC_POR_REDUCTION_H
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "mc/por/sleep.h"
 
 namespace nicemc::mc {
 
 /// Partial-order-reduction mode (CheckerOptions::reduction).
 enum class Reduction : std::uint8_t {
-  kNone,             // expand every strategy-filtered enabled transition
-  kSleep,            // sleep sets (sound; prunes commuted re-derivations)
-  kSleepPersistent,  // sleep sets + persistent-cluster scheduling
-  kSourceDpor,       // + per-state wakeup trees and source-set sleeping
+  kNone,   // expand every strategy-filtered enabled transition
+  kSleep,  // sleep sets (sound; prunes commuted re-derivations)
 };
 
 std::string reduction_name(Reduction r);
 
-/// True for every mode that prunes at all (owns a Reducer).
-[[nodiscard]] constexpr bool reduces(Reduction r) noexcept {
-  return r != Reduction::kNone;
-}
-/// True for the modes that schedule conflict-closure clusters.
-[[nodiscard]] constexpr bool schedules_clusters(Reduction r) noexcept {
-  return r == Reduction::kSleepPersistent || r == Reduction::kSourceDpor;
-}
-/// True for the mode that records/consumes per-state wakeup trees.
-[[nodiscard]] constexpr bool uses_wakeups(Reduction r) noexcept {
-  return r == Reduction::kSourceDpor;
-}
-
-namespace por {
-
-/// Reduction context owned by the Checker and shared by every worker:
-/// the mode, whether packet conflict keys are live (any packet-keyed
-/// property monitor installed), and the per-state sleep/wakeup store.
-class Reducer {
- public:
-  Reducer(Reduction mode, bool packet_keys, std::size_t shards)
-      : mode_(mode), packet_keys_(packet_keys), store_(shards) {}
-
-  [[nodiscard]] Reduction mode() const noexcept { return mode_; }
-  [[nodiscard]] bool packet_keys() const noexcept { return packet_keys_; }
-  [[nodiscard]] bool clusters() const noexcept {
-    return schedules_clusters(mode_);
-  }
-  [[nodiscard]] bool wakeups() const noexcept { return uses_wakeups(mode_); }
-  [[nodiscard]] SleepStore& store() noexcept { return store_; }
-
- private:
-  Reduction mode_;
-  bool packet_keys_;
-  SleepStore store_;
-};
-
-}  // namespace por
 }  // namespace nicemc::mc
 
 #endif  // NICE_MC_POR_REDUCTION_H

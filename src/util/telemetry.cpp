@@ -395,10 +395,6 @@ std::string ProgressSnapshot::to_ndjson() const {
   s += ',';
   append_kv(s, "memo_discover_hit_rate", memo_discover_hit_rate);
   s += ',';
-  append_kv(s, "wakeup_replays", wakeup_replays);
-  s += ',';
-  append_kv(s, "wakeup_woken", wakeup_woken);
-  s += ',';
   append_kv(s, "engine_bytes", engine_bytes);
   s += ',';
   append_kv(s, "peak_rss_bytes", peak_rss_bytes);
@@ -430,8 +426,6 @@ bool ProgressSnapshot::parse(std::string_view line, ProgressSnapshot& out) {
                        out.memo_footprint_hit_rate);
   ok = ok && parse_f64(line, "memo_discover_hit_rate",
                        out.memo_discover_hit_rate);
-  ok = ok && parse_u64(line, "wakeup_replays", out.wakeup_replays);
-  ok = ok && parse_u64(line, "wakeup_woken", out.wakeup_woken);
   ok = ok && parse_u64(line, "engine_bytes", out.engine_bytes);
   ok = ok && parse_u64(line, "peak_rss_bytes", out.peak_rss_bytes);
   const auto obj = line.find("\"phase_ns\":{");
@@ -558,9 +552,6 @@ ProgressSnapshot ProgressReporter::make_snapshot() {
   s.memo_discover_hit_rate =
       hit_rate(telemetry_.memo_disc_hits.load(std::memory_order_relaxed),
                telemetry_.memo_disc_misses.load(std::memory_order_relaxed));
-  s.wakeup_replays =
-      telemetry_.wakeup_replays.load(std::memory_order_relaxed);
-  s.wakeup_woken = telemetry_.wakeup_woken.load(std::memory_order_relaxed);
 
   // The published mirrors, never merged_phases(): the exact profile is
   // plain per-worker state and must not be read while workers run.

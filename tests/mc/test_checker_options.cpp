@@ -12,9 +12,7 @@
 namespace nicemc::mc {
 namespace {
 
-constexpr Reduction kAllReductions[] = {
-    Reduction::kNone, Reduction::kSleep, Reduction::kSleepPersistent,
-    Reduction::kSourceDpor};
+constexpr Reduction kAllReductions[] = {Reduction::kNone, Reduction::kSleep};
 constexpr util::ShardedSeenSet::Mode kAllStores[] = {
     util::ShardedSeenSet::Mode::kHash,
     util::ShardedSeenSet::Mode::kFullState,
@@ -179,8 +177,8 @@ TEST(CheckerOptions, TimeLimitStopsParallelSearch) {
 TEST(CheckerOptions, TimeLimitMatrixAcrossReductionsAndStores) {
   // Every reduction × state-store pair must honor the wall-clock budget:
   // a run truncated by time reports hit_limit = kTime and never claims
-  // exhaustion, whatever bookkeeping (sleep store, wakeup trees,
-  // interning tables) rides along.
+  // exhaustion, whatever bookkeeping (sleep store, interning tables)
+  // rides along.
   for (const Reduction r : kAllReductions) {
     for (const util::ShardedSeenSet::Mode m : kAllStores) {
       auto s = apps::pyswitch_ping_chain(4);
@@ -200,8 +198,7 @@ TEST(CheckerOptions, TimeLimitMatrixAcrossReductionsAndStores) {
 TEST(CheckerOptions, StoreStatsConsistentAcrossReductionMatrix) {
   // Exhaustive runs across the full matrix: store statistics must match
   // the store mode (interning counters exactly when collapsed; nonzero
-  // store bytes always) and wakeup statistics must appear exactly in
-  // kSourceDpor mode.
+  // store bytes always).
   for (const Reduction r : kAllReductions) {
     for (const util::ShardedSeenSet::Mode m : kAllStores) {
       auto s = apps::pyswitch_ping_chain(2);
@@ -220,13 +217,6 @@ TEST(CheckerOptions, StoreStatsConsistentAcrossReductionMatrix) {
         EXPECT_GT(res.collapse.dedupe_ratio, 1.0) << tag;
       } else {
         EXPECT_EQ(res.collapse.unique_blobs, 0u) << tag;
-      }
-      if (r == Reduction::kSourceDpor) {
-        EXPECT_GT(res.wakeup.trees, 0u) << tag;
-        EXPECT_GT(res.wakeup.sequences, 0u) << tag;
-      } else {
-        EXPECT_EQ(res.wakeup.trees, 0u) << tag;
-        EXPECT_EQ(res.wakeup.sequences, 0u) << tag;
       }
     }
   }
@@ -293,7 +283,7 @@ TEST(CheckerOptions, MemoBudgetIsRespectedUnderPressure) {
   auto baseline_s = apps::pyswitch_ping_chain(3);
   CheckerOptions base_opt;
   base_opt.stop_at_first_violation = false;
-  base_opt.reduction = Reduction::kSleepPersistent;
+  base_opt.reduction = Reduction::kSleep;
   Checker baseline(baseline_s.config, base_opt, baseline_s.properties);
   const CheckerResult want = baseline.run();
 
@@ -312,26 +302,23 @@ TEST(CheckerOptions, MemoBudgetIsRespectedUnderPressure) {
 TEST(CheckerOptions, CountLimitsReportReasonUnderReduction) {
   // Transition / unique-state caps keep their reporting contract when
   // the reduction layer is active (the caps see reduced counts).
-  for (const Reduction r :
-       {Reduction::kSleepPersistent, Reduction::kSourceDpor}) {
-    auto s = apps::pyswitch_ping_chain(3);
-    CheckerOptions opt;
-    opt.reduction = r;
-    opt.max_transitions = 150;
-    Checker by_transitions(s.config, opt, s.properties);
-    const CheckerResult rt = by_transitions.run();
-    EXPECT_FALSE(rt.exhausted) << reduction_name(r);
-    EXPECT_EQ(rt.hit_limit, LimitReason::kTransitions) << reduction_name(r);
+  auto s = apps::pyswitch_ping_chain(3);
+  CheckerOptions opt;
+  opt.reduction = Reduction::kSleep;
+  opt.max_transitions = 150;
+  Checker by_transitions(s.config, opt, s.properties);
+  const CheckerResult rt = by_transitions.run();
+  EXPECT_FALSE(rt.exhausted);
+  EXPECT_EQ(rt.hit_limit, LimitReason::kTransitions);
 
-    auto s2 = apps::pyswitch_ping_chain(3);
-    CheckerOptions opt2;
-    opt2.reduction = r;
-    opt2.max_unique_states = 80;
-    Checker by_states(s2.config, opt2, s2.properties);
-    const CheckerResult rs = by_states.run();
-    EXPECT_FALSE(rs.exhausted) << reduction_name(r);
-    EXPECT_EQ(rs.hit_limit, LimitReason::kUniqueStates) << reduction_name(r);
-  }
+  auto s2 = apps::pyswitch_ping_chain(3);
+  CheckerOptions opt2;
+  opt2.reduction = Reduction::kSleep;
+  opt2.max_unique_states = 80;
+  Checker by_states(s2.config, opt2, s2.properties);
+  const CheckerResult rs = by_states.run();
+  EXPECT_FALSE(rs.exhausted);
+  EXPECT_EQ(rs.hit_limit, LimitReason::kUniqueStates);
 }
 
 TEST(CheckerOptions, TimeLimitStopsRandomWalks) {

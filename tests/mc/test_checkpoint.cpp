@@ -121,6 +121,18 @@ TEST(CheckpointSlot, VersionMismatchRejected) {
   EXPECT_FALSE(info.valid);
   EXPECT_NE(info.error.find("version mismatch"), std::string::npos)
       << info.error;
+
+  // A slot in the v1 layout (which carried wakeup-tree and per-node
+  // wake/cond sections) is rejected by the same path.
+  bytes[8] = 0;
+  bytes[9] = 0;
+  bytes[10] = 0;
+  bytes[11] = 1;
+  spit(slot, bytes);
+  const SlotInfo v1 = read_checkpoint_slot(slot);
+  EXPECT_FALSE(v1.valid);
+  EXPECT_NE(v1.error.find("file v1, expected v2"), std::string::npos)
+      << v1.error;
   drop_slots(path);
 }
 
@@ -208,8 +220,8 @@ TEST(CheckpointResume, SequentialDfsAllBundled) {
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kDfs, 1,
                            StoreMode::kHash, "dfs_none");
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kDfs, 1,
-                           StoreMode::kHash, "dfs_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 1,
+                           StoreMode::kHash, "dfs_sleep");
   }
 }
 
@@ -217,8 +229,8 @@ TEST(CheckpointResume, SequentialBfs) {
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kBfs, 1,
                            StoreMode::kHash, "bfs_none");
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kBfs, 1,
-                           StoreMode::kHash, "bfs_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kBfs, 1,
+                           StoreMode::kHash, "bfs_sleep");
   }
 }
 
@@ -235,8 +247,8 @@ TEST(CheckpointResume, ParallelFourThreads) {
   for (const apps::NamedScenario& ns : small_scenarios()) {
     expect_resume_identity(ns, Reduction::kNone, FrontierKind::kDfs, 4,
                            StoreMode::kHash, "par_none");
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kDfs, 4,
-                           StoreMode::kHash, "par_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 4,
+                           StoreMode::kHash, "par_sleep");
   }
 }
 
@@ -245,8 +257,8 @@ TEST(CheckpointResume, CollapsedStoreRestoresInternTable) {
   // re-intern blobs in dense id order for the stored tuples (and the
   // sleep store's identity keys) to stay valid.
   for (const apps::NamedScenario& ns : small_scenarios()) {
-    expect_resume_identity(ns, Reduction::kSourceDpor, FrontierKind::kDfs, 1,
-                           StoreMode::kCollapsed, "collapsed_dpor");
+    expect_resume_identity(ns, Reduction::kSleep, FrontierKind::kDfs, 1,
+                           StoreMode::kCollapsed, "collapsed_sleep");
   }
 }
 

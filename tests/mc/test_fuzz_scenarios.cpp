@@ -4,15 +4,14 @@
 // state-store representation × sequential and 4-thread drivers. On an
 // exhaustive run every combination must agree with the unreduced
 // hash-store baseline on the violation key set, the unique-state count
-// and the quiescent-state count; reducing modes must never explore more
-// transitions, and kSourceDpor must never explore more than
-// kSleepPersistent (sequential, per store — parallel transition counts
-// are schedule-dependent and only bounded by the unreduced count).
+// and the quiescent-state count; the reducing mode must never explore
+// more transitions (parallel transition counts are schedule-dependent
+// and only bounded by the unreduced count).
 //
 // This is the mechanical soundness argument for the reduction layer: the
-// algebra of sleep sets, wakeup trees and store identities is easy to
-// get subtly wrong, so it is established by differential search over a
-// generated corpus rather than by inspection.
+// algebra of sleep sets and store identities is easy to get subtly
+// wrong, so it is established by differential search over a generated
+// corpus rather than by inspection.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -46,9 +45,7 @@ CheckerResult run(std::uint64_t seed, Reduction reduction,
   return checker.run();
 }
 
-constexpr Reduction kReductions[] = {
-    Reduction::kNone, Reduction::kSleep, Reduction::kSleepPersistent,
-    Reduction::kSourceDpor};
+constexpr Reduction kReductions[] = {Reduction::kNone, Reduction::kSleep};
 constexpr util::ShardedSeenSet::Mode kStores[] = {
     util::ShardedSeenSet::Mode::kHash,
     util::ShardedSeenSet::Mode::kFullState,
@@ -65,12 +62,10 @@ TEST(FuzzScenarios, DifferentialSweepAcrossReductionsStoresAndThreads) {
 
     const auto base_keys = violation_key_set(base);
     for (const util::ShardedSeenSet::Mode store : kStores) {
-      std::uint64_t persistent_seq = 0;
       for (const Reduction r : kReductions) {
         for (const unsigned threads : {1u, 4u}) {
           if (r == Reduction::kNone && threads == 1 &&
               store == util::ShardedSeenSet::Mode::kHash) {
-            persistent_seq = base.transitions;
             continue;  // that run is `base` itself
           }
           const CheckerResult cr = run(seed, r, store, threads);
@@ -88,16 +83,6 @@ TEST(FuzzScenarios, DifferentialSweepAcrossReductionsStoresAndThreads) {
             EXPECT_EQ(cr.transitions, base.transitions) << cell;
           } else {
             EXPECT_LE(cr.transitions, base.transitions) << cell;
-          }
-          if (threads == 1) {
-            if (r == Reduction::kSleepPersistent) {
-              persistent_seq = cr.transitions;
-            } else if (r == Reduction::kSourceDpor) {
-              // The Source-DPOR gate, per store mode: lazily-paid
-              // replays never make the sequential search worse than
-              // persistent-scheduled sleep sets.
-              EXPECT_LE(cr.transitions, persistent_seq) << cell;
-            }
           }
         }
       }
@@ -269,14 +254,11 @@ TEST(FuzzScenarios, TelemetryKnobIsCountInvisibleAcrossDrivers) {
   }
 }
 
-TEST(FuzzScenarios, SourceDporKeepsTheContractAcrossFrontiers) {
-  // Under DFS the lazily-attached wakeup replays almost never activate
-  // (the commuted twin of a re-expanded child is already seen); BFS and
-  // random-priority orders are where re-expanded children win first
-  // arrivals, conditional sleeps engage, and the targeted/claim-free
-  // arrival machinery actually runs. Sweep the whole corpus under both
-  // and require the activation path to be genuinely exercised.
-  std::uint64_t replays = 0;
+TEST(FuzzScenarios, SleepKeepsTheContractAcrossFrontiers) {
+  // The only corpus-wide reduced sweep under non-DFS frontiers: BFS and
+  // random-priority orders shuffle which sleep sets reach a state first,
+  // so revisits with smaller sleep sets (and the stored-intersection
+  // re-expansion rule) are exercised far more than under DFS.
   for (std::uint64_t seed = kSeedBase; seed < kSeedBase + kSeeds; ++seed) {
     const CheckerResult base =
         run(seed, Reduction::kNone, util::ShardedSeenSet::Mode::kHash, 1);
@@ -285,7 +267,7 @@ TEST(FuzzScenarios, SourceDporKeepsTheContractAcrossFrontiers) {
       apps::Scenario s = apps::fuzz_scenario(seed);
       CheckerOptions opt;
       opt.stop_at_first_violation = false;
-      opt.reduction = Reduction::kSourceDpor;
+      opt.reduction = Reduction::kSleep;
       opt.frontier = kind;
       Checker checker(s.config, opt, s.properties);
       const CheckerResult cr = checker.run();
@@ -296,10 +278,8 @@ TEST(FuzzScenarios, SourceDporKeepsTheContractAcrossFrontiers) {
       EXPECT_EQ(cr.quiescent_states, base.quiescent_states) << cell;
       EXPECT_EQ(violation_key_set(cr), violation_key_set(base)) << cell;
       EXPECT_LE(cr.transitions, base.transitions) << cell;
-      replays += cr.wakeup.replays;
     }
   }
-  EXPECT_GT(replays, 0u);
 }
 
 TEST(FuzzScenarios, InterruptAtSeededPointAndResumeIsCountIdentical) {
@@ -308,7 +288,8 @@ TEST(FuzzScenarios, InterruptAtSeededPointAndResumeIsCountIdentical) {
   // (the halt writes the at-halt checkpoint), resumed without the cap,
   // and must report totals identical to the uninterrupted run. The
   // reduction, store, frontier and thread axes rotate per seed so the
-  // subset still covers every combination class. Kill points past the
+  // subset still covers every combination class (the reduction rotates
+  // every two seeds, so each mode meets both thread counts). Kill points past the
   // end of the search double as resume-of-a-finished-run coverage.
   constexpr std::uint64_t kSubset = 32;
   constexpr FrontierKind kFrontiers[] = {
@@ -318,7 +299,7 @@ TEST(FuzzScenarios, InterruptAtSeededPointAndResumeIsCountIdentical) {
     const std::uint64_t i = seed - kSeedBase;
     CheckerOptions opt;
     opt.stop_at_first_violation = false;
-    opt.reduction = kReductions[i % 4];
+    opt.reduction = kReductions[(i / 2) % 2];
     opt.state_store = kStores[i % 3];
     opt.frontier = kFrontiers[i % 3];
     opt.threads = (i % 2) == 0 ? 1u : 4u;

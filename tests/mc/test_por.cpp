@@ -1,11 +1,9 @@
 // The partial-order-reduction subsystem (mc/por/): the differential
-// soundness sweep over every bundled scenario — on exhaustive runs every
-// reducing mode (kSleep, kSleepPersistent, kSourceDpor) must report the
-// identical violation set, the identical unique-state and quiescent-state
-// counts, and fewer (or equal) transitions than the unreduced search —
-// plus strict-reduction checks on the paper scenarios, the Source-DPOR
-// gate (never more transitions than kSleepPersistent), parallel/frontier
-// composition, and SleepStore mechanics.
+// soundness sweep over every bundled scenario — on exhaustive runs kSleep
+// must report the identical violation set, the identical unique-state and
+// quiescent-state counts, and fewer (or equal) transitions than the
+// unreduced search — plus strict-reduction checks on the paper scenarios,
+// parallel/frontier composition, and SleepStore mechanics.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -40,21 +38,16 @@ TEST(Por, DifferentialSoundnessSweepAllBundledScenarios) {
   for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
     const CheckerResult none = run_reduced(ns.make(), Reduction::kNone);
     ASSERT_TRUE(none.exhausted) << ns.name;
-    for (const Reduction r :
-         {Reduction::kSleep, Reduction::kSleepPersistent,
-          Reduction::kSourceDpor}) {
-      const CheckerResult red = run_reduced(ns.make(), r);
-      const std::string tag = ns.name + " / " + reduction_name(r);
-      EXPECT_TRUE(red.exhausted) << tag;
-      EXPECT_EQ(red.unique_states, none.unique_states) << tag;
-      EXPECT_EQ(red.quiescent_states, none.quiescent_states) << tag;
-      EXPECT_EQ(violation_key_set(red), violation_key_set(none)) << tag;
-      EXPECT_LE(red.transitions, none.transitions) << tag;
-      // Every state but the root is discovered by exactly one non-revisit
-      // transition: transitions = (unique-1) + revisits + violating.
-      EXPECT_GE(red.transitions - red.revisits, red.unique_states - 1)
-          << tag;
-    }
+    const CheckerResult red = run_reduced(ns.make(), Reduction::kSleep);
+    EXPECT_TRUE(red.exhausted) << ns.name;
+    EXPECT_EQ(red.unique_states, none.unique_states) << ns.name;
+    EXPECT_EQ(red.quiescent_states, none.quiescent_states) << ns.name;
+    EXPECT_EQ(violation_key_set(red), violation_key_set(none)) << ns.name;
+    EXPECT_LE(red.transitions, none.transitions) << ns.name;
+    // Every state but the root is discovered by exactly one non-revisit
+    // transition: transitions = (unique-1) + revisits + violating.
+    EXPECT_GE(red.transitions - red.revisits, red.unique_states - 1)
+        << ns.name;
   }
 }
 
@@ -64,8 +57,7 @@ TEST(Por, StrictReductionOnPaperScenarios) {
   const auto strict = [](apps::Scenario a, apps::Scenario b,
                          const char* name) {
     const CheckerResult none = run_reduced(std::move(a), Reduction::kNone);
-    const CheckerResult red =
-        run_reduced(std::move(b), Reduction::kSleepPersistent);
+    const CheckerResult red = run_reduced(std::move(b), Reduction::kSleep);
     EXPECT_LT(red.transitions, none.transitions) << name;
   };
   strict(apps::pyswitch_ping_chain(2), apps::pyswitch_ping_chain(2),
@@ -80,29 +72,12 @@ TEST(Por, StrictReductionOnPaperScenarios) {
   strict(apps::lb_scenario({}), apps::lb_scenario({}), "lb-bugs");
 }
 
-TEST(Por, SourceDporNeverExceedsSleepPersistent) {
-  // The Source-DPOR acceptance gate: replays are attached lazily (only a
-  // re-expanded child that discovers a new state pays for its conditional
-  // sleeps), so the sequential DFS search must never explore more
-  // transitions than kSleepPersistent on any bundled scenario.
-  for (const apps::NamedScenario& ns : apps::bundled_scenarios()) {
-    const CheckerResult sp =
-        run_reduced(ns.make(), Reduction::kSleepPersistent);
-    const CheckerResult src = run_reduced(ns.make(), Reduction::kSourceDpor);
-    EXPECT_LE(src.transitions, sp.transitions) << ns.name;
-    EXPECT_EQ(src.unique_states, sp.unique_states) << ns.name;
-    // The wakeup trees must actually be recording the dispatch schedule.
-    EXPECT_GT(src.wakeup.trees, 0u) << ns.name;
-    EXPECT_GE(src.wakeup.sequences, src.wakeup.trees) << ns.name;
-  }
-}
-
 TEST(Por, ReductionFindsKnownBugStopAtFirst) {
   // Default stop-at-first mode still finds BUG-II under reduction, with a
   // replayable trace.
   auto s = apps::pyswitch_bug2();
   CheckerOptions opt;
-  opt.reduction = Reduction::kSleepPersistent;
+  opt.reduction = Reduction::kSleep;
   Checker checker(s.config, opt, s.properties);
   const CheckerResult r = checker.run();
   ASSERT_TRUE(r.found_violation());
@@ -122,44 +97,32 @@ TEST(Por, ParallelDriverComposesWithReduction) {
   const CheckerResult none = run_reduced(apps::lb_scenario(o),
                                          Reduction::kNone);
   const CheckerResult seq = run_reduced(apps::lb_scenario(o),
-                                        Reduction::kSleepPersistent);
-  for (const Reduction r :
-       {Reduction::kSleepPersistent, Reduction::kSourceDpor}) {
-    for (unsigned threads : {2u, 4u}) {
-      const std::string tag =
-          reduction_name(r) + " x" + std::to_string(threads);
-      const CheckerResult par =
-          run_reduced(apps::lb_scenario(o), r, threads);
-      EXPECT_TRUE(par.exhausted) << tag;
-      EXPECT_EQ(par.unique_states, seq.unique_states) << tag;
-      EXPECT_EQ(violation_key_set(par), violation_key_set(seq)) << tag;
-      EXPECT_LE(par.transitions, none.transitions) << tag;
-    }
+                                        Reduction::kSleep);
+  for (unsigned threads : {2u, 4u}) {
+    const std::string tag = std::to_string(threads) + " threads";
+    const CheckerResult par =
+        run_reduced(apps::lb_scenario(o), Reduction::kSleep, threads);
+    EXPECT_TRUE(par.exhausted) << tag;
+    EXPECT_EQ(par.unique_states, seq.unique_states) << tag;
+    EXPECT_EQ(violation_key_set(par), violation_key_set(seq)) << tag;
+    EXPECT_LE(par.transitions, none.transitions) << tag;
   }
 }
 
 TEST(Por, AlternativeFrontiersKeepTheContract) {
   // BFS/random arrival orders shuffle which sleep sets reach a state
-  // first; the stored-sleep re-expansion rule keeps coverage exact. For
-  // kSourceDpor these frontiers matter doubly: under non-DFS orders a
-  // re-expanded child can reach a still-unseen state, which is exactly
-  // when the conditional sleeps activate and wakeup replays are emitted —
-  // the claim-free/targeted arrival machinery must preserve the state
-  // set.
+  // first; the stored-sleep re-expansion rule keeps coverage exact.
   const CheckerResult none =
       run_reduced(apps::pyswitch_ping_chain(2), Reduction::kNone);
-  for (const Reduction r : {Reduction::kSleep, Reduction::kSourceDpor}) {
-    for (const FrontierKind kind :
-         {FrontierKind::kBfs, FrontierKind::kRandom}) {
-      const std::string tag =
-          reduction_name(r) + " / " + frontier_name(kind);
-      const CheckerResult red =
-          run_reduced(apps::pyswitch_ping_chain(2), r, 1, kind);
-      EXPECT_TRUE(red.exhausted) << tag;
-      EXPECT_EQ(red.unique_states, none.unique_states) << tag;
-      EXPECT_EQ(violation_key_set(red), violation_key_set(none)) << tag;
-      EXPECT_LE(red.transitions, none.transitions) << tag;
-    }
+  for (const FrontierKind kind :
+       {FrontierKind::kBfs, FrontierKind::kRandom}) {
+    const std::string tag = frontier_name(kind);
+    const CheckerResult red = run_reduced(apps::pyswitch_ping_chain(2),
+                                          Reduction::kSleep, 1, kind);
+    EXPECT_TRUE(red.exhausted) << tag;
+    EXPECT_EQ(red.unique_states, none.unique_states) << tag;
+    EXPECT_EQ(violation_key_set(red), violation_key_set(none)) << tag;
+    EXPECT_LE(red.transitions, none.transitions) << tag;
   }
 }
 
@@ -181,19 +144,14 @@ TEST(Por, ReductionIsInertUnderNoDelay) {
     auto [s_none, opt_none] = make(factory);
     Checker c_none(s_none.config, opt_none, s_none.properties);
     const CheckerResult none = c_none.run();
-    for (const Reduction r :
-         {Reduction::kSleep, Reduction::kSleepPersistent,
-          Reduction::kSourceDpor}) {
-      auto [s_red, opt_red] = make(factory);
-      opt_red.reduction = r;
-      Checker c_red(s_red.config, opt_red, s_red.properties);
-      const CheckerResult red = c_red.run();
-      const std::string tag = std::string(name) + " / " + reduction_name(r);
-      EXPECT_EQ(red.transitions, none.transitions) << tag;
-      EXPECT_EQ(red.unique_states, none.unique_states) << tag;
-      EXPECT_EQ(violation_key_set(red), violation_key_set(none)) << tag;
-      EXPECT_EQ(red.exhausted, none.exhausted) << tag;
-    }
+    auto [s_red, opt_red] = make(factory);
+    opt_red.reduction = Reduction::kSleep;
+    Checker c_red(s_red.config, opt_red, s_red.properties);
+    const CheckerResult red = c_red.run();
+    EXPECT_EQ(red.transitions, none.transitions) << name;
+    EXPECT_EQ(red.unique_states, none.unique_states) << name;
+    EXPECT_EQ(violation_key_set(red), violation_key_set(none)) << name;
+    EXPECT_EQ(red.exhausted, none.exhausted) << name;
   };
   sweep([] { return apps::pyswitch_bug3(); }, "pyswitch-bug3");
   sweep([] { return apps::lb_scenario({}); }, "lb-bugs");
@@ -216,7 +174,7 @@ TEST(Por, ReductionComposesWithFlowIr) {
   const CheckerResult none = c1.run();
 
   CheckerOptions opt = base;
-  opt.reduction = Reduction::kSleepPersistent;
+  opt.reduction = Reduction::kSleep;
   auto s2 = apps::pyswitch_ping_chain(2);
   Checker c2(s2.config, opt, s2.properties);
   const CheckerResult red = c2.run();
